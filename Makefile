@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race lint fuzz modelcheck fault bench bench-core serve loadgen bench-serve cluster bench-cluster chaos profile bench-profile fmt
+.PHONY: check build test race lint fuzz modelcheck fault bench serve cluster chaos profile fmt
 
 check:
 	sh scripts/check.sh
@@ -36,40 +36,24 @@ modelcheck:
 fault:
 	$(GO) run ./cmd/faultcampaign
 
-# bench measures the sweep engine (serial vs parallel vs warm cache) and
-# writes BENCH_sweep.json.
+# bench runs the repository benchmark (perfbench, declared in
+# BENCHMARK.json) once per workload: the saturated 64-PE cycle loop, the
+# cold sweep engine, and the router-plus-workers request path. Each run
+# prints one JSON document of end-to-end and per-layer metrics.
 bench:
-	sh scripts/bench.sh sweep
-
-# bench-core measures the simulator's cycle loop (cycles/sec and
-# allocs/cycle across the internal/perf suite) and writes BENCH_core.json
-# with the speedup over the recorded pre-refactor baseline.
-bench-core:
-	sh scripts/bench.sh core
+	python3 perfbench/run.py --workload core-64pe
+	python3 perfbench/run.py --workload sweep-seeds
+	python3 perfbench/run.py --workload serve-mix
 
 # serve runs the S24 simulation-as-a-service daemon on its default
 # loopback port with an on-disk result store.
 serve:
 	$(GO) run ./cmd/mimdserved -cache-dir .servecache
 
-# loadgen drives an embedded daemon with the mixed spec set, cold then
-# warm, and writes BENCH_serve.json; `bench-serve` additionally enforces
-# the 5x warm-speedup floor (the CI perf artifact).
-loadgen:
-	$(GO) run ./cmd/loadgen
-
-bench-serve:
-	sh scripts/bench.sh serve
-
 # cluster runs the S25 tier self-contained: a router on its default port
-# with three in-process workers. Point loadgen (or curl) at it.
+# with three in-process workers. Point curl at it.
 cluster:
 	$(GO) run ./cmd/mimdrouter -spawn 3
-
-# bench-cluster measures the 1x/2x/4x-worker scaling curve under skewed
-# traffic and writes BENCH_cluster.json (schema cluster-bench-v1).
-bench-cluster:
-	sh scripts/bench.sh cluster
 
 # chaos runs the S27 chaos campaign over every fault class at every
 # intensity and prints the masked/degraded/failed matrix;
@@ -82,12 +66,6 @@ chaos:
 # online curves byte-for-byte against the offline stack algorithm.
 profile:
 	$(GO) run ./cmd/mimdsim -profile-smoke
-
-# bench-profile measures the profiler's overhead and the cache-size
-# sweep one profiled run replaces, writing BENCH_profile.json (schema
-# profile-bench-v1).
-bench-profile:
-	sh scripts/bench.sh profile
 
 fmt:
 	gofmt -w .

@@ -184,9 +184,9 @@ const (
 	clientAttempts = 6
 )
 
-// specMix is the deterministic traffic mix, cycled by request index —
-// the same quick-experiment specs loadgen drives, so a campaign cell is
-// a faithful miniature of the benchmark workload.
+// specMix is the deterministic traffic mix, cycled by request index:
+// quick single-seed experiment specs, so a campaign cell stays a small,
+// fast miniature of real service traffic.
 func specMix() []string {
 	return []string{
 		`{"kind":"experiment","experiment":"fig3-1","seeds":[1]}`,
@@ -428,9 +428,7 @@ func runCell(ctx context.Context, cfg config, class chaos.Class, in chaos.Intens
 		RequestID: func(body []byte) (string, error) { return serve.ComputeRequestID(body, idOpts) },
 		Client:    &http.Client{Transport: tr},
 		// Fast, deterministic failure detection: one failed probe round
-		// marks a worker down, one stalled attempt fails over. Hedging
-		// stays off — a hedged attempt would consume plan sequence
-		// numbers nondeterministically.
+		// marks a worker down, one stalled attempt fails over.
 		AttemptTimeout: attemptTimeout,
 		FailThreshold:  1,
 		ProbeTimeout:   250 * time.Millisecond,

@@ -12,11 +12,9 @@
 // Self-healing controls: per-worker circuit breakers open after
 // consecutive proxy failures and re-admit traffic through a half-open
 // trial; -attempt-timeout bounds the wait for a worker's response
-// headers before failing over; -hedge races idempotent status reads
-// against the successor worker once the primary exceeds its windowed
-// p99; -journal makes submissions durable — a restarted router replays
-// unfinished flights before taking traffic, and SIGINT drains in-flight
-// streams to their terminal frame before exiting.
+// headers before failing over; -journal makes submissions durable — a
+// restarted router replays unfinished flights before taking traffic, and
+// SIGINT drains in-flight streams to their terminal frame before exiting.
 //
 // Usage:
 //
@@ -68,7 +66,6 @@ func main() {
 		probeIvl  = flag.Duration("probe-interval", time.Second, "health probe cadence")
 		journalP  = flag.String("journal", "", "flight journal path; submissions are journaled and resumed after a restart")
 		attemptTO = flag.Duration("attempt-timeout", 2*time.Second, "max wait for a worker's response headers before failing over; 0 disables")
-		hedge     = flag.Bool("hedge", false, "hedge idempotent status reads to the successor worker past the primary's windowed p99")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight streams on SIGINT before exiting anyway")
 		smoke     = flag.Bool("smoke", false, "bounded self-check: in-process router + 2 workers; verifies routing, coalescing, failover, and a replica read")
 	)
@@ -134,7 +131,6 @@ func main() {
 		PollInterval:   *pollIvl,
 		ProbeInterval:  *probeIvl,
 		AttemptTimeout: *attemptTO,
-		Hedge:          *hedge,
 		Journal:        journal,
 	})
 	if err != nil {

@@ -52,7 +52,6 @@ func main() {
 		configPath = flag.String("config", "", "load a JSON run spec (overrides the workload/machine flags)")
 		profile    = flag.Bool("profile", false, "attach the online miss-ratio profiler and print the hit-rate-vs-cache-size curve (per PE with -v)")
 		profSmoke  = flag.Bool("profile-smoke", false, "run the profiler self-check (record, replay, cross-validate against offline stackdist) and exit")
-		profBench  = flag.String("profile-bench", "", "measure profiler overhead and the cache-size sweep it replaces, write JSON to this file, and exit")
 		faults     = flag.String("faults", "", "run fault-injection trials instead of a plain simulation: comma-separated fault classes, or \"all\"")
 		faultN     = flag.Int("fault-trials", 4, "trials per fault class in -faults mode")
 		faultSeed  = flag.Uint64("fault-seed", 1, "campaign seed for -faults mode (workload and fault plans)")
@@ -74,12 +73,6 @@ func main() {
 
 	if *profSmoke {
 		if err := runProfileSmoke(*seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *profBench != "" {
-		if err := runProfileBench(*profBench, *seed); err != nil {
 			fatal(err)
 		}
 		return

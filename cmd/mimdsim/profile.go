@@ -2,16 +2,13 @@
 // miss-ratio-curve profiler (internal/mrc) to a plain run; -profile-smoke
 // is the CI self-check (record a tier-1 scenario, replay it as a trace
 // workload, byte-compare online vs offline curves, assert replay metrics
-// equal the original run); -profile-bench measures what the curves cost
-// against the cache-size sweep they replace.
+// equal the original run).
 package main
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
-	"time"
 
 	"repro/internal/bus"
 	"repro/internal/coherence"
@@ -187,152 +184,5 @@ func runProfileSmoke(seed uint64) error {
 	fmt.Printf("profile-smoke: online curves match offline stackdist byte-for-byte (%d scopes, %d refs)\n",
 		1+smokePEs, len(all))
 	fmt.Println("profile-smoke: PASS")
-	return nil
-}
-
-// profileBenchDoc is the BENCH_profile.json artifact (schema
-// profile-bench-v1): the cost of one profiled run against the
-// cache-size sweep it replaces.
-type profileBenchDoc struct {
-	Schema       string  `json:"schema"`
-	PEs          int     `json:"pes"`
-	RefsPerPE    int     `json:"refs_per_pe"`
-	UnprofiledMS float64 `json:"unprofiled_ms"`
-	ProfiledMS   float64 `json:"profiled_ms"`
-	// OverheadPct is the profiled run's wall-time overhead over the
-	// unprofiled run (the acceptance budget is <= 5%).
-	OverheadPct float64 `json:"overhead_pct"`
-	// Sweep is one unprofiled run per curve size: the work a single
-	// profiled run replaces.
-	Sweep        []profileBenchPoint `json:"sweep"`
-	SweepTotalMS float64             `json:"sweep_total_ms"`
-	// SweepSpeedup is sweep_total_ms / profiled_ms: how much cheaper the
-	// online curve is than measuring every size directly.
-	SweepSpeedup float64 `json:"sweep_speedup"`
-}
-
-type profileBenchPoint struct {
-	Lines  int     `json:"lines"`
-	WallMS float64 `json:"wall_ms"`
-	// MissRatioMeasured is the direct-mapped cache's measured ratio;
-	// MissRatioCurve is the profiler's fully-associative LRU bound at
-	// the same size (equal associativity would close the gap).
-	MissRatioMeasured float64 `json:"miss_ratio_measured"`
-	MissRatioCurve    float64 `json:"miss_ratio_curve"`
-}
-
-func runProfileBench(out string, seed uint64) error {
-	const pes = 4
-	const refs = 20000
-	layout := workload.DefaultLayout()
-	prof := workload.PDEProfile()
-	agents := func() []workload.Agent {
-		as := make([]workload.Agent, pes)
-		for i := range as {
-			as[i] = workload.MustApp(prof, layout, i, seed, refs)
-		}
-		return as
-	}
-	run := func(lines int, profile bool) (time.Duration, machine.Metrics, *mrc.Set, error) {
-		m, err := machine.New(machine.Config{Protocol: coherence.RB{}, CacheLines: lines}, agents())
-		if err != nil {
-			return 0, machine.Metrics{}, nil, err
-		}
-		var set *mrc.Set
-		if profile {
-			set = mrc.Attach(m)
-		}
-		//lint:ignore determinism benchmark wall time is the measurement itself; no simulation state depends on it
-		start := time.Now()
-		if _, err := m.Run(uint64(refs) * 400); err != nil {
-			return 0, machine.Metrics{}, nil, err
-		}
-		if !m.Done() {
-			return 0, machine.Metrics{}, nil, fmt.Errorf("machine did not drain at %d lines", lines)
-		}
-		//lint:ignore determinism benchmark wall time is the measurement itself; no simulation state depends on it
-		return time.Since(start), m.Metrics(), set, nil
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-	const baseLines = 64
-	// Warm up once so both timed runs see hot code paths, then take the
-	// best of three for each configuration — single wall-clock samples at
-	// this scale are dominated by scheduler noise.
-	if _, _, _, err := run(baseLines, false); err != nil {
-		return err
-	}
-	best := func(profile bool) (time.Duration, *mrc.Set, error) {
-		var wall time.Duration
-		var set *mrc.Set
-		for rep := 0; rep < 3; rep++ {
-			w, _, s, err := run(baseLines, profile)
-			if err != nil {
-				return 0, nil, err
-			}
-			if rep == 0 || w < wall {
-				wall = w
-			}
-			set = s
-		}
-		return wall, set, nil
-	}
-	plainWall, _, err := best(false)
-	if err != nil {
-		return err
-	}
-	profWall, set, err := best(true)
-	if err != nil {
-		return err
-	}
-	curve := set.Global.Curve(mrc.DefaultSizes())
-	curveAt := map[int]float64{}
-	for _, pt := range curve {
-		curveAt[pt.Lines] = pt.MissRatio
-	}
-
-	doc := profileBenchDoc{
-		Schema:       "profile-bench-v1",
-		PEs:          pes,
-		RefsPerPE:    refs,
-		UnprofiledMS: ms(plainWall),
-		ProfiledMS:   ms(profWall),
-		OverheadPct:  100 * (ms(profWall) - ms(plainWall)) / ms(plainWall),
-	}
-	for _, sz := range mrc.DefaultSizes() {
-		wall, mt, _, err := run(sz, false)
-		if err != nil {
-			return err
-		}
-		var refs, hits uint64
-		for _, cs := range mt.Caches {
-			refs += cs.Reads + cs.Writes
-			hits += cs.ReadHits + cs.WriteHits
-		}
-		measured := 0.0
-		if refs > 0 {
-			measured = 1 - float64(hits)/float64(refs)
-		}
-		doc.Sweep = append(doc.Sweep, profileBenchPoint{
-			Lines: sz, WallMS: ms(wall),
-			MissRatioMeasured: measured,
-			MissRatioCurve:    curveAt[sz],
-		})
-		doc.SweepTotalMS += ms(wall)
-	}
-	if doc.ProfiledMS > 0 {
-		doc.SweepSpeedup = doc.SweepTotalMS / doc.ProfiledMS
-	}
-
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("profile bench: unprofiled %.1fms, profiled %.1fms (%.1f%% overhead), %d-size sweep %.1fms (%.1fx the profiled run)\n",
-		doc.UnprofiledMS, doc.ProfiledMS, doc.OverheadPct, len(doc.Sweep), doc.SweepTotalMS, doc.SweepSpeedup)
 	return nil
 }

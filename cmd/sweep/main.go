@@ -12,13 +12,11 @@
 //	sweep -batch=false ...                    # fresh machine per job (no fusion)
 //	sweep -smoke                              # CI gate: parallel==serial, warm==all-cached
 //	sweep -batch-smoke                        # CI gate: batched==unbatched, byte for byte
-//	sweep -bench -bench-out BENCH_sweep.json  # perf artifact: serial vs parallel vs batched vs warm
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -55,8 +53,6 @@ func main() {
 		batchRun = flag.Bool("batch", true, "fuse same-shape jobs and recycle machines by generation reset; -batch=false rebuilds a fresh machine per job")
 		smoke    = flag.Bool("smoke", false, "bounded self-check: assert parallel==serial bytes and a warm re-run executes zero jobs")
 		bsmoke   = flag.Bool("batch-smoke", false, "bounded self-check: assert batched output (reports, journal, store envelopes) is byte-identical to unbatched")
-		bench    = flag.Bool("bench", false, "benchmark the sweep-shaped experiments serial vs parallel vs warm")
-		benchOut = flag.String("bench-out", "BENCH_sweep.json", "where -bench writes its JSON artifact")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -113,14 +109,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("sweep batch smoke ok: fused reports, journal, and store envelopes byte-identical to unbatched")
-		return
-	}
-
-	if *bench {
-		if err := runBench(*benchOut, *workers, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep -bench:", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -349,118 +337,5 @@ func runBatchSmoke() error {
 				j.Key, j.Spec.Experiment, j.Spec.Seed)
 		}
 	}
-	return nil
-}
-
-// benchIDs are the sweep-shaped experiments the perf artifact tracks.
-var benchIDs = []string{"section7-saturation", "ablation-mix", "ablation-threshold", "extension-hier"}
-
-// benchEntry is one experiment's measurements in BENCH_sweep.json.
-// jobs_per_sec is the unbatched parallel rate (comparable to
-// sweep-bench-v1 artifacts); batched_jobs_per_sec is the same sweep with
-// same-shape jobs fused onto generation-reset machines, and
-// batch_speedup is their ratio.
-type benchEntry struct {
-	ID                string  `json:"id"`
-	Jobs              int     `json:"jobs"`
-	SerialWallMS      float64 `json:"serial_wall_ms"`
-	ParallelWallMS    float64 `json:"parallel_wall_ms"`
-	Speedup           float64 `json:"speedup"`
-	JobsPerSec        float64 `json:"jobs_per_sec"`
-	BatchedWallMS     float64 `json:"batched_wall_ms"`
-	BatchedJobsPerSec float64 `json:"batched_jobs_per_sec"`
-	BatchSpeedup      float64 `json:"batch_speedup"`
-	WarmWallMS        float64 `json:"warm_wall_ms"`
-	WarmCacheHitRate  float64 `json:"warm_cache_hit_rate"`
-}
-
-// benchReport is the BENCH_sweep.json schema.
-type benchReport struct {
-	Schema          string       `json:"schema"`
-	GoMaxProcs      int          `json:"gomaxprocs"`
-	Workers         int          `json:"workers"`
-	Scale           int          `json:"scale"`
-	Seeds           []uint64     `json:"seeds"`
-	Experiments     []benchEntry `json:"experiments"`
-	TotalSerialMS   float64      `json:"total_serial_ms"`
-	TotalParallelMS float64      `json:"total_parallel_ms"`
-	OverallSpeedup  float64      `json:"overall_speedup"`
-}
-
-// runBench measures each sweep-shaped experiment four ways — cold serial
-// (unbatched), cold parallel (unbatched), cold parallel batched, warm
-// parallel — and writes the machine-readable perf artifact.
-func runBench(outPath string, workers, scale int) error {
-	seeds := []uint64{1, 2, 3}
-	rep := benchReport{
-		Schema:     "sweep-bench-v2",
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-		Scale:      scale,
-		Seeds:      seeds,
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for _, id := range benchIDs {
-		sp, err := sweep.SpecFor(id, seeds, scale)
-		if err != nil {
-			return err
-		}
-		specs := []sweep.Spec{sp}
-		serial, err := sweep.New(sweep.Options{Workers: 1, Runner: sweep.ExperimentRunner}).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		warmStore := sweep.NewMemStore()
-		parallel, err := sweep.New(sweep.Options{Workers: workers, Store: warmStore, Runner: sweep.ExperimentRunner}).
-			Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		batched, err := sweep.New(sweep.Options{Workers: workers}).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		warm, err := sweep.New(sweep.Options{Workers: workers, Store: warmStore}).Run(context.Background(), specs)
-		if err != nil {
-			return err
-		}
-		entry := benchEntry{
-			ID:             id,
-			Jobs:           len(parallel.Jobs),
-			SerialWallMS:   ms(serial.Wall),
-			ParallelWallMS: ms(parallel.Wall),
-			BatchedWallMS:  ms(batched.Wall),
-			WarmWallMS:     ms(warm.Wall),
-		}
-		if parallel.Wall > 0 {
-			entry.Speedup = float64(serial.Wall) / float64(parallel.Wall)
-			entry.JobsPerSec = float64(entry.Jobs) / parallel.Wall.Seconds()
-		}
-		if batched.Wall > 0 {
-			entry.BatchedJobsPerSec = float64(entry.Jobs) / batched.Wall.Seconds()
-			entry.BatchSpeedup = float64(parallel.Wall) / float64(batched.Wall)
-		}
-		if len(warm.Jobs) > 0 {
-			entry.WarmCacheHitRate = float64(warm.CacheHits) / float64(len(warm.Jobs))
-		}
-		rep.Experiments = append(rep.Experiments, entry)
-		rep.TotalSerialMS += entry.SerialWallMS
-		rep.TotalParallelMS += entry.ParallelWallMS
-		fmt.Fprintf(os.Stderr, "%-22s jobs=%d serial=%.0fms parallel=%.0fms speedup=%.2fx batched=%.0fms batchx=%.2fx warm=%.0fms hit=%.0f%%\n",
-			id, entry.Jobs, entry.SerialWallMS, entry.ParallelWallMS, entry.Speedup,
-			entry.BatchedWallMS, entry.BatchSpeedup, entry.WarmWallMS, 100*entry.WarmCacheHitRate)
-	}
-	if rep.TotalParallelMS > 0 {
-		rep.OverallSpeedup = rep.TotalSerialMS / rep.TotalParallelMS
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (overall speedup %.2fx over serial on %d workers)\n",
-		outPath, rep.OverallSpeedup, workers)
 	return nil
 }

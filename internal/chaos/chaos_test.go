@@ -157,7 +157,7 @@ func TestTransportInjectedCode(t *testing.T) {
 		t.Fatalf("status = %d, want injected 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("injected 503 missing Retry-After; the loadgen contract requires the hint")
+		t.Fatal("injected 503 missing Retry-After; the client contract requires the hint")
 	}
 	if hits != 0 {
 		t.Fatalf("worker saw %d requests through an injected 5xx", hits)

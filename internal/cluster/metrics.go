@@ -25,8 +25,6 @@ type Metrics struct {
 	rebalancePolls  int64            // completed rebalancer polls
 
 	truncatedStreams int64 // relayed streams that ended without a terminal frame
-	hedgesFired      int64 // hedged secondary attempts launched
-	hedgesWon        int64 // hedged attempts whose secondary answered first
 	breakerOpens     int64 // circuit transitions into open
 	breakerSkips     int64 // candidates skipped because their circuit was open
 	attemptTimeouts  int64 // proxy attempts cancelled waiting for headers
@@ -92,18 +90,6 @@ func (m *Metrics) countTruncatedStream() {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) countHedgeFired() {
-	m.mu.Lock()
-	m.hedgesFired++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) countHedgeWon() {
-	m.mu.Lock()
-	m.hedgesWon++
-	m.mu.Unlock()
-}
-
 func (m *Metrics) countBreakerOpen() {
 	m.mu.Lock()
 	m.breakerOpens++
@@ -157,20 +143,6 @@ func (m *Metrics) TruncatedStreams() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.truncatedStreams
-}
-
-// HedgesFired returns how many hedged secondary attempts launched.
-func (m *Metrics) HedgesFired() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hedgesFired
-}
-
-// HedgesWon returns how many hedges were answered by the secondary.
-func (m *Metrics) HedgesWon() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hedgesWon
 }
 
 // BreakerOpens returns how many times a worker circuit opened.
@@ -285,12 +257,6 @@ func (m *Metrics) Render(aliveWorkers int, membershipVersion uint64, activeRepli
 	w("# HELP mimdrouter_truncated_streams_total Relayed streams that ended without a terminal frame.\n")
 	w("# TYPE mimdrouter_truncated_streams_total counter\n")
 	w("mimdrouter_truncated_streams_total %d\n", m.truncatedStreams)
-	w("# HELP mimdrouter_hedges_fired_total Hedged secondary read attempts launched.\n")
-	w("# TYPE mimdrouter_hedges_fired_total counter\n")
-	w("mimdrouter_hedges_fired_total %d\n", m.hedgesFired)
-	w("# HELP mimdrouter_hedges_won_total Hedged reads answered first by the secondary.\n")
-	w("# TYPE mimdrouter_hedges_won_total counter\n")
-	w("mimdrouter_hedges_won_total %d\n", m.hedgesWon)
 	w("# HELP mimdrouter_breaker_opens_total Worker circuit-breaker transitions into open.\n")
 	w("# TYPE mimdrouter_breaker_opens_total counter\n")
 	w("mimdrouter_breaker_opens_total %d\n", m.breakerOpens)

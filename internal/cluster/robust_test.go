@@ -462,72 +462,3 @@ func TestJournalSubmitAndResume(t *testing.T) {
 		t.Fatalf("ResumedFlights = %d, want 1", r.Metrics().ResumedFlights())
 	}
 }
-
-// TestHedgedReadFiresOnSlowPrimary: once the primary's latency window
-// is warm, a status read that outlives the primary's p99 fires a hedge
-// to the next candidate, and the faster answer wins.
-func TestHedgedReadFiresOnSlowPrimary(t *testing.T) {
-	jobPath := "/v1/jobs/req-hedge"
-	stall := make(chan struct{})
-	var slowMu sync.Mutex
-	slow := false
-	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		slowMu.Lock()
-		s := slow
-		slowMu.Unlock()
-		if s {
-			select {
-			case <-stall:
-			case <-req.Context().Done():
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"req-hedge","status":"done"}`)
-	}))
-	defer primary.Close()
-	secondary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"req-hedge","status":"done"}`)
-	}))
-	defer secondary.Close()
-
-	id := "req-hedge"
-	shard := ShardOf(id, DefaultNumShards)
-	rank := Rank([]string{"w1", "w2"}, shard)
-	urls := map[string]string{rank[0]: primary.URL, rank[1]: secondary.URL}
-	r := newTestRouter(t, Options{
-		Workers: []Worker{
-			{ID: "w1", URL: urls["w1"]},
-			{ID: "w2", URL: urls["w2"]},
-		},
-		Hedge:           true,
-		HedgeMinSamples: 8,
-	})
-
-	// Warm the primary's latency window with fast reads.
-	for i := 0; i < 10; i++ {
-		rec := httptest.NewRecorder()
-		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, jobPath, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("warmup read %d: status %d", i, rec.Code)
-		}
-	}
-
-	// Now stall the primary; the hedge must rescue the read.
-	slowMu.Lock()
-	slow = true
-	slowMu.Unlock()
-	defer close(stall)
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, jobPath, nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("hedged read status %d, want 200 from the secondary", rec.Code)
-	}
-	if r.Metrics().HedgesFired() == 0 {
-		t.Fatal("no hedge fired against the stalled primary")
-	}
-	if r.Metrics().HedgesWon() == 0 {
-		t.Fatal("secondary's answer not counted as a hedge win")
-	}
-}

@@ -1,52 +1,40 @@
 package machine
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/event"
-)
-
-// Sampler drives a Machine while firing scheduled observations on a
-// virtual clock aligned with machine cycles, using the discrete-event
-// kernel. It is how time-series measurements (bus utilization over time,
-// lock-convoy phases, warmup-vs-steady-state miss ratios) are taken
-// without polluting the machine's own cycle loop.
+// Sampler drives a Machine while firing periodic observations at exact
+// machine cycles. It is how time-series measurements (bus utilization
+// over time, lock-convoy phases, warmup-vs-steady-state miss ratios) are
+// taken without polluting the machine's own cycle loop.
 type Sampler struct {
-	m    *Machine
-	loop *event.Loop
+	m     *Machine
+	start uint64
+	every []sampleTick
+}
+
+// sampleTick is one Every registration: fn fires when the machine cycle
+// reaches next, and next then advances by interval.
+type sampleTick struct {
+	interval, next uint64
+	fn             func(m *Machine)
 }
 
 // NewSampler wraps a machine. The sampler's clock starts at the machine's
 // current cycle.
 func NewSampler(m *Machine) *Sampler {
-	s := &Sampler{m: m, loop: event.New()}
-	if c := m.Cycle(); c > 0 {
-		s.loop.Advance(event.Time(c))
-	}
-	return s
+	return &Sampler{m: m, start: m.Cycle()}
 }
 
-// Every schedules fn at each multiple of interval cycles from now, for the
-// lifetime of the run. fn receives the machine at the sampling instant.
+// Every schedules fn at each multiple of interval cycles counted from the
+// sampler's start cycle, for the lifetime of the run. fn receives the
+// machine at the sampling instant.
 func (s *Sampler) Every(interval uint64, fn func(m *Machine)) {
 	if interval == 0 {
 		panic("machine: zero sampling interval")
 	}
-	var tick event.Func
-	tick = func(now event.Time) {
-		fn(s.m)
-		s.loop.After(event.Time(interval), tick)
-	}
-	s.loop.After(event.Time(interval), tick)
-}
-
-// At schedules fn once at the given absolute machine cycle.
-func (s *Sampler) At(cycle uint64, fn func(m *Machine)) {
-	s.loop.At(event.Time(cycle), fn2(s.m, fn))
-}
-
-func fn2(m *Machine, fn func(*Machine)) event.Func {
-	return func(event.Time) { fn(m) }
+	elapsed := s.m.Cycle() - s.start
+	next := s.start + (elapsed/interval+1)*interval
+	s.every = append(s.every, sampleTick{interval: interval, next: next, fn: fn})
 }
 
 // Run steps the machine until it is done or maxCycles elapse, firing
@@ -58,7 +46,13 @@ func (s *Sampler) Run(maxCycles uint64) (uint64, error) {
 		if err := s.m.Step(); err != nil {
 			return s.m.Cycle() - start, err
 		}
-		s.loop.RunUntil(event.Time(s.m.Cycle()))
+		c := s.m.Cycle()
+		for i := range s.every {
+			for s.every[i].next <= c {
+				s.every[i].fn(s.m)
+				s.every[i].next += s.every[i].interval
+			}
+		}
 	}
 	return s.m.Cycle() - start, s.m.Err()
 }

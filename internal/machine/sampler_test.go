@@ -20,17 +20,6 @@ func TestSamplerEveryFiresOnInterval(t *testing.T) {
 	}
 }
 
-func TestSamplerAt(t *testing.T) {
-	m := MustNew(Config{}, []workload.Agent{workload.NewHotspot(1, 0)})
-	s := NewSampler(m)
-	fired := uint64(0)
-	s.At(7, func(m *Machine) { fired = m.Cycle() })
-	s.Run(20)
-	if fired != 7 {
-		t.Fatalf("fired at %d, want 7", fired)
-	}
-}
-
 func TestSamplerStopsWhenMachineDone(t *testing.T) {
 	m := MustNew(Config{}, []workload.Agent{workload.NewArrayInit(0, 4)})
 	s := NewSampler(m)

@@ -1,21 +1,14 @@
-// Package perf is the core performance layer (S22): a fixed suite of
-// representative machines whose steady-state cycle loop is timed and
-// allocation-audited. The sweep bench (BENCH_sweep.json) measures
-// throughput *across* experiment jobs; this suite measures the quantity
-// that bounds every one of those jobs — simulated bus cycles per second
-// of one machine — together with allocations per cycle, the number the
-// flat-core refactor pins at zero in steady state (oracle off).
-//
-// `make bench-core` runs the suite through cmd/benchcore and writes
-// BENCH_core.json, which also carries the pre-refactor baseline
-// (baseline.go) so every future run reports its speedup against the
-// map-backed core this layer replaced.
+// Package perf is the core performance suite (S22): a fixed set of
+// representative machines whose steady-state cycle loop is
+// allocation-audited here and timed by the repository benchmark
+// (perfbench, declared in BENCHMARK.json). The 64-PE RB rows are the
+// Section 7 saturated-bus regime its core-64pe workload runs;
+// TestSteadyStateAllocFree pins zero allocations per cycle in steady
+// state for every scenario, oracle on or off.
 package perf
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/coherence"
 	"repro/internal/machine"
@@ -24,9 +17,8 @@ import (
 
 // Scenario is one representative machine of the suite.
 type Scenario struct {
-	// Name identifies the scenario in BENCH_core.json and baseline.go:
-	// "<protocol>-<n>pe" with an "-oracle" suffix when the consistency
-	// oracle is on.
+	// Name identifies the scenario: "<protocol>-<n>pe" with an
+	// "-oracle" suffix when the consistency oracle is on.
 	Name string
 	// PEs is the processor count (the 64-PE rows are the Section 7
 	// saturation regime: one bus, far past its knee).
@@ -36,10 +28,6 @@ type Scenario struct {
 	// Oracle enables the read-latest consistency check on every
 	// retirement.
 	Oracle bool
-	// Cycles is the measured steady-state run length; Warmup cycles are
-	// executed (and discarded) first so page allocations, cache fills
-	// and scratch-buffer growth are behind the measurement.
-	Cycles, Warmup uint64
 }
 
 // Scenarios returns the fixed suite: 1/8/64 PEs x RB/RWB x oracle
@@ -59,8 +47,6 @@ func Scenarios() []Scenario {
 					PEs:      pes,
 					Protocol: proto,
 					Oracle:   oracle,
-					Cycles:   200_000,
-					Warmup:   20_000,
 				})
 			}
 		}
@@ -76,20 +62,6 @@ func ScenarioByName(name string) (Scenario, error) {
 		}
 	}
 	return Scenario{}, fmt.Errorf("perf: unknown scenario %q", name)
-}
-
-// Result is one scenario's measurements.
-type Result struct {
-	Name           string  `json:"name"`
-	PEs            int     `json:"pes"`
-	Protocol       string  `json:"protocol"`
-	Oracle         bool    `json:"oracle"`
-	Cycles         uint64  `json:"cycles"`
-	WallMS         float64 `json:"wall_ms"`
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	BytesPerCycle  float64 `json:"bytes_per_cycle"`
-	RefsRetired    uint64  `json:"refs_retired"`
 }
 
 // Build assembles the scenario's machine: unbounded synthetic-app
@@ -114,46 +86,4 @@ func Build(s Scenario) (*machine.Machine, error) {
 		CacheLines:       2048,
 		CheckConsistency: s.Oracle,
 	}, agents)
-}
-
-// now reads the wall clock for throughput measurement only.
-//
-//lint:ignore observability-only wall time; simulation results never depend on it
-func now() time.Time { return time.Now() }
-
-// Run executes one scenario: build, warm up, then time s.Cycles steps
-// and report cycles/sec and allocs/cycle over the measured window.
-func Run(s Scenario) (Result, error) {
-	m, err := Build(s)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := m.RunFor(s.Warmup); err != nil {
-		return Result{}, err
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := now()
-	if err := m.RunFor(s.Cycles); err != nil {
-		return Result{}, err
-	}
-	wall := now().Sub(start)
-	runtime.ReadMemStats(&after)
-
-	r := Result{
-		Name:        s.Name,
-		PEs:         s.PEs,
-		Protocol:    s.Protocol,
-		Oracle:      s.Oracle,
-		Cycles:      s.Cycles,
-		WallMS:      float64(wall) / float64(time.Millisecond),
-		RefsRetired: m.Metrics().TotalRefs(),
-	}
-	if wall > 0 {
-		r.CyclesPerSec = float64(s.Cycles) / wall.Seconds()
-	}
-	r.AllocsPerCycle = float64(after.Mallocs-before.Mallocs) / float64(s.Cycles)
-	r.BytesPerCycle = float64(after.TotalAlloc-before.TotalAlloc) / float64(s.Cycles)
-	return r, nil
 }

@@ -8,9 +8,11 @@ import (
 	"repro/internal/mrc"
 )
 
-// TestScenarioNamesMatchBaseline pins the suite/baseline contract:
-// BENCH_core.json can only report speedups for scenarios the baseline
-// actually measured.
+// TestScenarioNamesMatchBaseline pins the suite/benchmark contract:
+// every scenario name is unique and spells out its own shape, and the
+// two rows the repository benchmark builds (rb-64pe and rb-64pe-oracle)
+// are in the suite, so a benchmark baseline measured at one commit
+// names the same machines as a run at the next.
 func TestScenarioNamesMatchBaseline(t *testing.T) {
 	names := map[string]bool{}
 	for _, s := range Scenarios() {
@@ -18,17 +20,23 @@ func TestScenarioNamesMatchBaseline(t *testing.T) {
 			t.Fatalf("duplicate scenario name %q", s.Name)
 		}
 		names[s.Name] = true
-		if _, ok := Baseline[s.Name]; !ok {
-			t.Errorf("scenario %q has no baseline entry", s.Name)
+		want := fmt.Sprintf("%s-%dpe", s.Protocol, s.PEs)
+		if s.Oracle {
+			want += "-oracle"
+		}
+		if s.Name != want {
+			t.Errorf("scenario %+v is named %q, want %q", s, s.Name, want)
 		}
 	}
-	for name := range Baseline {
+	for _, name := range []string{"rb-64pe", "rb-64pe-oracle"} {
 		if !names[name] {
-			t.Errorf("baseline entry %q has no scenario", name)
+			t.Errorf("benchmark scenario %q is not in the suite", name)
 		}
 	}
 }
 
+// TestScenarioByName checks that names resolve to their own shape and
+// that an unknown name is an error.
 func TestScenarioByName(t *testing.T) {
 	s, err := ScenarioByName("rb-64pe")
 	if err != nil {
@@ -36,6 +44,13 @@ func TestScenarioByName(t *testing.T) {
 	}
 	if s.PEs != 64 || s.Protocol != "rb" || s.Oracle {
 		t.Fatalf("rb-64pe resolved to %+v", s)
+	}
+	s, err = ScenarioByName("rb-64pe-oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.PEs != 64 || s.Protocol != "rb" || !s.Oracle {
+		t.Fatalf("rb-64pe-oracle resolved to %+v", s)
 	}
 	if _, err := ScenarioByName("nonesuch"); err == nil {
 		t.Fatal("expected an error for an unknown scenario")
@@ -79,25 +94,6 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunReportsThroughput smoke-checks the harness itself on a tiny
-// scenario so `go test` stays fast while still driving Run end to end.
-func TestRunReportsThroughput(t *testing.T) {
-	s := Scenario{Name: "smoke", PEs: 2, Protocol: "rb", Oracle: true, Cycles: 5_000, Warmup: 500}
-	r, err := Run(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.CyclesPerSec <= 0 {
-		t.Errorf("cycles/sec = %v, want > 0", r.CyclesPerSec)
-	}
-	if r.RefsRetired == 0 {
-		t.Error("no references retired")
-	}
-	if r.Name != "smoke" || r.Cycles != 5_000 {
-		t.Errorf("result misreports its scenario: %+v", r)
-	}
-}
-
 // ExampleScenarios documents the suite's shape.
 func ExampleScenarios() {
 	fmt.Println(len(Scenarios()), "scenarios")
@@ -105,13 +101,13 @@ func ExampleScenarios() {
 }
 
 // TestProfilerOverhead pins the cost of the online miss-ratio profiler
-// (internal/mrc) against the unprofiled cycle loop. The exact number for
-// a given machine ships in BENCH_profile.json (`make bench-profile`,
-// typically 25-35%: each reference pays two O(log footprint) curve
-// updates while the simulated machine itself costs only a few hundred
-// nanoseconds per reference); this test is the regression guard that the
-// cost stays in that class — a slip past 2x means the hot path grew an
-// allocation or lost its O(log) bound.
+// (internal/mrc) against the unprofiled cycle loop and logs the measured
+// overhead. On a quiet 2-CPU x86-64 host it measures about 25-35%, and
+// more when other processes load the host: each reference pays two
+// O(log footprint) curve updates while the simulated machine itself
+// costs only a few hundred nanoseconds per reference. The bound is a
+// regression guard, not a target — a slip past 2x means the hot path grew
+// an allocation or lost its O(log) bound.
 func TestProfilerOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation distorts timing; run without -race")

@@ -53,6 +53,10 @@
 #                  run, curves byte-identical), and the online curves
 #                  are cross-validated byte-for-byte against the offline
 #                  stack algorithm over the recorded reference streams
+#  15. perfbench  the benchmark harness's own tests (a separate module
+#                  that `go test ./...` never reaches): metric tables
+#                  agree with BENCHMARK.json, and the workloads are
+#                  deterministic and self-checking
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -102,5 +106,8 @@ go run ./cmd/chaoscampaign -smoke
 
 echo "==> mimdsim -profile-smoke"
 go run ./cmd/mimdsim -profile-smoke
+
+echo "==> perfbench go test"
+(cd perfbench && go test .)
 
 echo "==> all checks passed"
